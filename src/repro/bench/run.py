@@ -239,16 +239,10 @@ def _run_degraded(case: BenchCase, warmup: int, rounds: int) -> dict:
     retries, so they still pin the workload's identity.
     """
     from repro.parallel.backend import faults
+    from repro.parallel.backend.env import scoped_env
 
-    prev = os.environ.get(faults.ENV_VAR)
-    os.environ[faults.ENV_VAR] = case.fault_plan
-    try:
+    with scoped_env({faults.ENV_VAR: case.fault_plan}):
         return _run_backend_step(case, warmup, rounds)
-    finally:
-        if prev is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = prev
 
 
 _RUNNERS = {"mp_step": _run_mp_step, "finetune": _run_finetune,

@@ -228,17 +228,19 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
     from repro.parallel.backend import create_backend
     from repro.parallel.backend.conclog import ENV_VAR as CONC_ENV
+    from repro.parallel.backend.env import scoped_env
     from repro.training.finetune import default_accuracy_model
 
     if _require_mp_backend(args, "mp-trace") is None:
         return 1
+    env = {}
     if args.conc_log:
         # Workers are spawned with an inherited environment, so setting
-        # the variable here makes every rank write a per-rank event log
-        # into the directory — replayable with
+        # the variable for the spawn makes every rank write a per-rank
+        # event log into the directory — replayable with
         # ``python -m repro.lint --race-log <dir>``.
         os.makedirs(args.conc_log, exist_ok=True)
-        os.environ[CONC_ENV] = args.conc_log
+        env[CONC_ENV] = args.conc_log
 
     cfg = ModelParallelConfig(
         default_accuracy_model(num_classes=2, seed=0),
@@ -250,14 +252,15 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
     input_ids = rng.integers(0, cfg.model.vocab_size, size=(args.batch, args.seq))
     labels = rng.integers(0, 2, size=args.batch)
 
-    backend = create_backend("mp", model, collect_timelines=True)
+    with scoped_env(env):
+        backend = create_backend("mp", model, collect_timelines=True)
     try:
         result = backend.train_step(input_ids, labels, None)
     finally:
         backend.close()
     meta = {"run_id": f"mp-step-{args.scheme}-tp{args.tp}pp{args.pp}",
             "scheme": args.scheme, "tp": args.tp, "pp": args.pp,
-            "loss": result.loss}
+            "loss": result.loss, "worker_threads": backend.worker_threads}
     write_trace(worker_timelines_trace(result.timelines, meta), args.out)
     spans = sum(len(t) for t in result.timelines.values())
     print(f"mp {args.scheme} TP={args.tp} PP={args.pp}: "
@@ -283,13 +286,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.optim import Adam
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
     from repro.parallel.backend import create_backend
+    from repro.parallel.backend.env import scoped_env
     from repro.training.finetune import default_accuracy_model
 
     if _require_mp_backend(args, "top") is None:
         return 1
-    # Workers inherit the parent environment, so flipping the switch here
-    # is what makes every spawned rank stream telemetry.
-    os.environ[TELEM_ENV] = "1"
 
     cfg = ModelParallelConfig(
         default_accuracy_model(num_classes=2, seed=0),
@@ -303,7 +304,10 @@ def cmd_top(args: argparse.Namespace) -> int:
     run_id = args.run_id or f"top-{args.scheme}-tp{args.tp}pp{args.pp}"
     clear = sys.stdout.isatty()
 
-    backend = create_backend("mp", model)
+    # Workers inherit the parent environment, so arming the switch for
+    # the spawn is what makes every rank stream telemetry.
+    with scoped_env({TELEM_ENV: "1"}):
+        backend = create_backend("mp", model)
     try:
         optimizer = Adam(model.parameters(), lr=1e-3)
         for step in range(args.steps):
@@ -333,7 +337,8 @@ def cmd_top(args: argparse.Namespace) -> int:
         run_id, collector, monitor,
         meta={"scheme": args.scheme, "tp": args.tp, "pp": args.pp,
               "schedule": args.schedule, "microbatches": args.microbatches,
-              "steps": args.steps, "fault_plan": os.environ.get("REPRO_FAULT_PLAN", "")},
+              "steps": args.steps, "fault_plan": os.environ.get("REPRO_FAULT_PLAN", ""),
+              "worker_threads": backend.worker_threads},
     )
     path = save_run(args.registry, summary)
     print(f"run summary -> {path}")

@@ -16,7 +16,9 @@ is not reusable after an error.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import pickle
 import queue as queue_mod
 import re
@@ -27,6 +29,12 @@ import numpy as np
 
 from repro.parallel.backend.base import BackendError, ExecutionBackend, StepResult
 from repro.parallel.backend.context import global_rank
+from repro.parallel.backend.env import (
+    available_cpus,
+    scoped_env,
+    thread_budget_env,
+    worker_thread_share,
+)
 from repro.parallel.backend.transport import (
     DEFAULT_CAPACITY,
     DEFAULT_TIMEOUT_S,
@@ -112,32 +120,54 @@ class MpBackend(ExecutionBackend):
         if hasattr(model, "regression"):
             kwargs["regression"] = model.regression
         model_spec = {"cls": type(model), "config": model.config, "kwargs": kwargs}
-        # Spawn order is global-rank order (dp-major, tp-minor), so
-        # ``self._conns[rank]`` indexes by rank as before.
-        for dp_rank in range(self.dp):
-            for stage in range(self.pp):
-                for sp_rank in range(self.sp):
-                    for tp_rank in range(self.tp):
-                        parent_conn, child_conn = spawn.Pipe()
-                        rank_info = {"tp": self.tp, "pp": self.pp,
-                                     "tp_rank": tp_rank, "stage": stage,
-                                     "dp": self.dp, "sp": self.sp,
-                                     "dp_rank": dp_rank, "sp_rank": sp_rank,
-                                     "overlap": self.overlap}
-                        rank = global_rank(stage, tp_rank, self.tp,
-                                           pp=self.pp, sp=self.sp,
-                                           sp_rank=sp_rank, dp_rank=dp_rank)
-                        proc = spawn.Process(
-                            target=_worker_main,
-                            args=(child_conn, self.transport.spec, rank_info,
-                                  model_spec, timeout, self._telemetry_queue),
-                            daemon=True,
-                            name=f"repro-rank{rank}",
-                        )
-                        proc.start()
-                        child_conn.close()
-                        self._procs.append(proc)
-                        self._conns.append(parent_conn)
+        # BLAS sizes its thread pool once, when the library loads — in a
+        # spawn child that is while unpickling ``_worker_main``, before any
+        # worker code runs — so the per-rank CPU budget has to be in the
+        # environment the children inherit.  Without it every rank's pool
+        # is sized to the whole machine and the gang oversubscribes the
+        # cores.  The parent's environment (and its own, already loaded
+        # BLAS) is restored untouched once the gang is started.
+        share = worker_thread_share(available_cpus(), self.world)
+        budget = thread_budget_env(share)
+        pool = budget.get("OPENBLAS_NUM_THREADS",
+                          os.environ.get("OPENBLAS_NUM_THREADS", ""))
+        self._worker_threads = int(pool) if pool.isdigit() else None
+        with scoped_env(budget):
+            # Spawn order is global-rank order (dp-major, tp-minor), so
+            # ``self._conns[rank]`` indexes by rank as before.
+            for dp_rank, stage, sp_rank, tp_rank in itertools.product(
+                    range(self.dp), range(self.pp), range(self.sp),
+                    range(self.tp)):
+                parent_conn, child_conn = spawn.Pipe()
+                rank_info = {"tp": self.tp, "pp": self.pp,
+                             "tp_rank": tp_rank, "stage": stage,
+                             "dp": self.dp, "sp": self.sp,
+                             "dp_rank": dp_rank, "sp_rank": sp_rank,
+                             "overlap": self.overlap}
+                rank = global_rank(stage, tp_rank, self.tp,
+                                   pp=self.pp, sp=self.sp,
+                                   sp_rank=sp_rank, dp_rank=dp_rank)
+                proc = spawn.Process(
+                    target=_worker_main,
+                    args=(child_conn, self.transport.spec, rank_info,
+                          model_spec, timeout, self._telemetry_queue),
+                    daemon=True,
+                    name=f"repro-rank{rank}",
+                )
+                proc.start()
+                child_conn.close()
+                self._procs.append(proc)
+                self._conns.append(parent_conn)
+
+    @property
+    def worker_threads(self) -> int | None:
+        """BLAS threads per worker, as the workers' OpenBLAS reads it.
+
+        The per-rank CPU budget ``max(1, cpus // world)`` unless the user
+        set ``OPENBLAS_NUM_THREADS``, whose value then wins; ``None`` when
+        that setting is not a plain thread count.
+        """
+        return self._worker_threads
 
     def _collect(self, ranks) -> dict[int, tuple]:
         """One message from each rank, or a BackendError naming the culprit.

@@ -1,6 +1,7 @@
 """python -m repro.obs: report, smoke and sim-trace subcommands."""
 
 import json
+import os
 
 from repro.obs.cli import main
 from repro.obs.metrics import RunRecorder
@@ -153,3 +154,35 @@ class TestTelemetryVerbs:
     def test_html_missing_run_exits_1(self, tmp_path, capsys):
         assert main(["html", "nope", "--registry", str(tmp_path)]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestEnvironmentScoping:
+    """mp-trace/top arm worker switches for the spawn only: an in-process
+    caller's environment is unchanged once ``main`` returns, and the run
+    records state the per-worker BLAS budget they ran under."""
+
+    def test_mp_trace_conc_log_does_not_leak(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CONC_LOG", raising=False)
+        before = dict(os.environ)
+        out = str(tmp_path / "mp.trace.json")
+        assert main(["mp-trace", "--out", out, "--tp", "2", "--pp", "1",
+                     "--conc-log", str(tmp_path / "conc")]) == 0
+        assert dict(os.environ) == before
+        assert list((tmp_path / "conc").glob("conc-rank*.jsonl"))
+        with open(out) as fh:
+            meta = json.load(fh)["otherData"]
+        assert isinstance(meta["worker_threads"], int)
+        assert meta["worker_threads"] >= 1
+
+    def test_top_telemetry_does_not_leak(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        before = dict(os.environ)
+        registry = str(tmp_path / "runs")
+        assert main(["top", "--steps", "1", "--tp", "2", "--pp", "1",
+                     "--schedule", "gpipe", "--microbatches", "1",
+                     "--registry", registry, "--run-id", "scoped"]) == 0
+        assert dict(os.environ) == before
+        with open(os.path.join(registry, "scoped.run.json")) as fh:
+            meta = json.load(fh)["meta"]
+        assert isinstance(meta["worker_threads"], int)
+        assert meta["worker_threads"] >= 1
