@@ -1,10 +1,10 @@
 """Async-handle AST rules: the static third of the concurrency layer.
 
-The issue/wait split (:func:`tp_all_reduce_issue`,
-:meth:`RankTransport.exchange_issue`) is what lets communication overlap
-compute — and it opens three bug classes no runtime test reliably
-catches, because a leaked or mis-sequenced handle usually still produces
-the right numbers on the happy path:
+The issue/wait split (:meth:`RankTransport.exchange_issue` and any other
+``*_issue`` call) is what lets communication overlap compute — and it
+opens three bug classes no runtime test reliably catches, because a
+leaked or mis-sequenced handle usually still produces the right numbers
+on the happy path:
 
 - a handle that never reaches ``.wait()`` silently drops its result, its
   ``CommEvent`` accounting and (under SPMD) leaves the peer's ring slot

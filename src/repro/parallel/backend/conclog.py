@@ -3,7 +3,6 @@
 A :class:`ConcurrencyLog` records every synchronization-relevant action a
 rank takes — ring-mailbox sends/recvs (:class:`ShmChannel`), barrier
 arrivals/departures (:class:`ShmBarrier`), and the issue/wait lifecycle of
-:class:`~repro.parallel.collectives.CommHandle` /
 :class:`~repro.parallel.backend.transport.ExchangeHandle` — as one JSON
 object per event.  The offline happens-before checker
 (:mod:`repro.lint.race_check`) replays these logs, reconstructs vector

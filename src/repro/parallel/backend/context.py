@@ -5,12 +5,14 @@ The in-process runtime materializes *every* logical rank: shard loops run
 A worker process of the mp backend executes the *same* model code but owns
 exactly one (dp_rank, stage, sp_rank, tp_rank) coordinate — it activates a
 :class:`RankContext` and the loops collapse to its own rank via
-:func:`spmd_ranks` / :func:`spmd_sp_ranks`, while the collectives switch
-from summing lists to exchanging arrays over the context's transport.
+:func:`spmd_ranks` / :func:`spmd_sp_ranks`.  The collectives then see
+only the own rank's partial; they exchange it over the context's
+transport and combine the messages with the same code the oracle runs.
 
 The context is deliberately a plain module global (not a thread-local):
 a worker process runs one rank, full stop, and the inproc backend never
-sets it — so the oracle path stays literally the pre-backend code.
+sets it — so the oracle runs every collective with the exchange step
+skipped.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class RankContext:
     transport: object | None = None  # RankTransport; None in transport-less tests
     rng: np.random.Generator | None = None  # per-rank stream, seeded (seed, rank)
     timeout: float = 60.0
-    #: Issue/wait overlap for collectives.  ``False`` forces every
-    #: :class:`~repro.parallel.collectives.CommHandle` to complete at issue
-    #: time — the blocking reference path; results are bitwise-identical
-    #: either way (the overlap stress test asserts exactly that).
-    overlap: bool = True
     #: Data/sequence axes, both defaulting to the degenerate 1×1 so every
     #: pre-grid construction site keeps its meaning: with ``dp == sp == 1``
     #: the rank formula collapses to the historical ``stage*tp + tp_rank``.

@@ -43,10 +43,10 @@ from repro.parallel.backend.transport import (
 from repro.parallel.backend.worker import _worker_main
 from repro.parallel.collectives import CommTracker, dp_all_reduce
 from repro.parallel.grad_sync import build_dp_grad_compressor
+from repro.parallel.tensor_parallel import shard_rank
 
 __all__ = ["MpBackend"]
 
-_RANK_SUFFIX = re.compile(r"_rank(\d+)$")
 _LAYER_OWNER = re.compile(r"(?:^|\.)layers\.(\d+)\.")
 _COMP_LAYER = re.compile(r"(?:^|\.)compressor\.layer(\d+)\.")
 _COMP_BOUNDARY = re.compile(r"(?:^|\.)compressor\.boundary(\d+)\.")
@@ -61,7 +61,6 @@ class MpBackend(ExecutionBackend):
     def __init__(self, model, *, capacity_bytes: int = DEFAULT_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT_S,
                  collect_timelines: bool = False,
-                 overlap: bool = True,
                  shutdown_timeout: float = 5.0):
         # Teardown state first: if anything below raises (bad config, spawn
         # failure), __del__ -> close() must find a coherent object instead
@@ -90,7 +89,6 @@ class MpBackend(ExecutionBackend):
                                if self.dp > 1 else None)
         self.timeout = timeout
         self.collect_timelines = collect_timelines
-        self.overlap = overlap
         self._partition = model.backbone.partition
 
         # The parent attaches as an observer (rank=-1): it owns the segment
@@ -142,8 +140,7 @@ class MpBackend(ExecutionBackend):
                 rank_info = {"tp": self.tp, "pp": self.pp,
                              "tp_rank": tp_rank, "stage": stage,
                              "dp": self.dp, "sp": self.sp,
-                             "dp_rank": dp_rank, "sp_rank": sp_rank,
-                             "overlap": self.overlap}
+                             "dp_rank": dp_rank, "sp_rank": sp_rank}
                 rank = global_rank(stage, tp_rank, self.tp,
                                    pp=self.pp, sp=self.sp,
                                    sp_rank=sp_rank, dp_rank=dp_rank)
@@ -318,8 +315,7 @@ class MpBackend(ExecutionBackend):
         merged: dict[str, np.ndarray] = {}
         for name, _ in self.model.named_parameters():
             stage = self._owner_stage(name)
-            m = _RANK_SUFFIX.search(name)
-            tp_rank = int(m.group(1)) if m else 0
+            tp_rank = shard_rank(name) or 0  # replicated: tp rank 0's copy
             g = per_rank[global_rank(stage, tp_rank, self.tp, pp=self.pp,
                                      sp=self.sp, dp_rank=dp_rank)].get(name)
             if g is not None:

@@ -62,6 +62,7 @@ plan-oblivious so the model checker explores the real protocol.
 
 from __future__ import annotations
 
+import gc
 import struct
 import time
 import zlib
@@ -531,6 +532,12 @@ class ExchangeHandle:
     shutdown, gang teardown after a peer failure) raises a typed
     :class:`BackendError` instead of dying on an internal ``KeyError``
     against the torn-down channel map.
+
+    A ``wait`` whose receive fails (timeout, peer death) stays failed: every
+    later ``wait`` raises a typed :class:`BackendError` chained to the
+    first error and never touches the wire again.  A retry would receive
+    from every peer afresh — after a partial drain that hands back the
+    peers' *next* messages mixed into this exchange's result.
     """
 
     def __init__(self, transport: "RankTransport", peers: list[int],
@@ -543,6 +550,7 @@ class ExchangeHandle:
         self._issued_at = issued_at
         self._conc_id = conc_id
         self._result: dict[int, np.ndarray] | None = None
+        self._error: BaseException | None = None
 
     @property
     def done(self) -> bool:
@@ -550,6 +558,12 @@ class ExchangeHandle:
 
     def wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, np.ndarray]:
         log = conclog.active()
+        if self._error is not None:
+            raise BackendError(
+                f"wait() on {self._label!r}, an exchange that already "
+                f"failed: {self._error}",
+                rank=self._transport.rank,
+            ) from self._error
         if self._result is None:
             t = self._transport
             if t.closed:
@@ -560,9 +574,14 @@ class ExchangeHandle:
                 )
             start = _now()
             out = {t.rank: self._arr}
-            for peer in self._peers:
-                if peer != t.rank:
-                    out[peer] = t._channels[(peer, t.rank)].recv(timeout=timeout)
+            try:
+                for peer in self._peers:
+                    if peer != t.rank:
+                        out[peer] = t._channels[(peer, t.rank)].recv(
+                            timeout=timeout)
+            except BaseException as exc:
+                self._error = exc
+                raise
             self._result = out
             t._record_wait(f"{self._label} wait", start)
             t._record_wait(self._label, self._issued_at, cat="mp.async")
@@ -740,7 +759,14 @@ class RankTransport:
         self._channels.clear()
         self.barrier = None
         shm, self._shm = self._shm, None
-        shm.close()
+        try:
+            shm.close()
+        except BufferError:
+            # A failed ExchangeHandle keeps its error, whose traceback
+            # frames still reference channel views, in a reference cycle
+            # with the handle; only the cyclic collector frees them.
+            gc.collect()
+            shm.close()
         if self._created:
             try:
                 shm.unlink()

@@ -26,14 +26,11 @@ import traceback
 
 import numpy as np
 
-import re
-
 from repro.parallel.backend import conclog, faults
 from repro.parallel.backend.context import RankContext, set_rank_context
 from repro.parallel.backend.transport import RankTransport
+from repro.parallel.tensor_parallel import shard_rank
 from repro.tensor import Tensor
-
-_RANK_SUFFIX = re.compile(r"_rank(\d+)$")
 
 
 def _parent_reads(name: str, tp_rank: int, sp_rank: int = 0) -> bool:
@@ -44,10 +41,7 @@ def _parent_reads(name: str, tp_rank: int, sp_rank: int = 0) -> bool:
     """
     if sp_rank != 0:
         return False
-    m = _RANK_SUFFIX.search(name)
-    if m is not None:
-        return int(m.group(1)) == tp_rank
-    return tp_rank == 0
+    return (shard_rank(name) or 0) == tp_rank
 
 
 def _disable_shm_tracking() -> None:
@@ -255,7 +249,6 @@ def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
             transport=transport,
             rng=np.random.default_rng((model_spec["config"].seed, rank)),
             timeout=timeout,
-            overlap=rank_info.get("overlap", True),
             dp=dp, sp=sp,
             dp_rank=rank_info.get("dp_rank", 0),
             sp_rank=rank_info.get("sp_rank", 0),

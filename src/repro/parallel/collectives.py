@@ -1,7 +1,10 @@
 """Data-plane collectives as autograd ops, with exact byte accounting.
 
-The runtime is single-process, so a "collective" here operates on the list
-of per-rank partial tensors directly. What makes it faithful is that
+A collective receives the partials of the ranks the calling process
+materializes: every rank in the in-process oracle, only the own rank
+inside an mp worker, where the peers' messages arrive over the rank
+context's shm transport.  Each collective has one body; the two backends
+differ only in that exchange step. What makes it faithful is that
 
 1. the *math* matches the distributed operation (all-reduce = sum of
    partials; the compressed variants combine messages exactly the way the
@@ -26,21 +29,17 @@ import numpy as np
 
 from repro.compression.base import BYTES_FP16, Compressor
 from repro.compression.autoencoder import AutoencoderCompressor
-from repro.parallel.backend import conclog as _conclog
 from repro.parallel.backend.context import rank_context
 from repro.tensor import Tensor
 from repro.tensor.tensor import concatenate as _concatenate
 
 __all__ = [
     "CommEvent",
-    "CommHandle",
     "CommTracker",
     "dense_bytes",
     "tp_all_reduce",
-    "tp_all_reduce_issue",
     "tp_broadcast",
     "pipeline_transfer",
-    "pipeline_transfer_issue",
     "dp_all_reduce",
     "sp_slice",
     "sp_seq_all_gather",
@@ -160,80 +159,6 @@ def dense_bytes(shape: tuple[int, ...]) -> int:
     return int(np.prod(shape)) * BYTES_FP16
 
 
-class CommHandle:
-    """An issued collective; :meth:`wait` completes it and returns a Tensor.
-
-    The issue/wait split is what lets a rank overlap an in-flight transfer
-    with compute that does not depend on the result.  In-process (oracle)
-    handles complete eagerly — there is no wire, so ``issue`` computes the
-    result and ``wait`` just hands it back.  SPMD handles hold an
-    in-flight shm exchange: the sends were staged at issue time, peer
-    contributions are collected (and the site's :class:`CommEvent`
-    recorded) at wait time.
-
-    ``wait`` is idempotent: a second call returns the same Tensor.  A
-    handle whose completion *failed* (transport timeout, peer death,
-    backend shutdown) stays failed: every subsequent ``wait`` re-raises a
-    typed error naming the original failure, rather than silently handing
-    back ``None`` as the collective's result — an issued-but-broken
-    all-reduce must never read as a zero-gradient success.
-    """
-
-    __slots__ = ("_finish", "_result", "_error", "_cid")
-
-    def __init__(self, finish):
-        self._finish = finish
-        self._result: Tensor | None = None
-        self._error: BaseException | None = None
-        self._cid: int | None = None
-        if finish is not None:
-            log = _conclog.active()
-            if log is not None:
-                self._cid = log.next_handle_id()
-                log.emit("handle_issue", hid=self._cid, htype="comm")
-
-    @classmethod
-    def ready(cls, value: Tensor) -> "CommHandle":
-        """A handle that is already complete (oracle / blocking paths)."""
-        handle = cls(None)
-        handle._result = value
-        return handle
-
-    @property
-    def done(self) -> bool:
-        return self._finish is None and self._error is None
-
-    def wait(self) -> Tensor:
-        if self._error is not None:
-            from repro.parallel.backend.base import BackendError
-
-            raise BackendError(
-                f"wait() on a handle that already failed: {self._error}"
-            ) from self._error
-        if self._finish is not None:
-            finish = self._finish
-            try:
-                result = finish()
-            except BaseException as exc:
-                self._error = exc
-                self._finish = None
-                raise
-            self._finish = None
-            self._result = result
-            if self._cid is not None:
-                log = _conclog.active()
-                if log is not None:
-                    log.emit("handle_wait", hid=self._cid, htype="comm",
-                             dup=False)
-        elif self._cid is not None:
-            log = _conclog.active()
-            if log is not None:
-                log.emit("handle_wait", hid=self._cid, htype="comm", dup=True)
-        return self._result
-
-
-
-
 def tp_broadcast(x: Tensor, world: int, tracker: CommTracker, *, layer: int | None = None,
                  site: str = "") -> Tensor:
     """Megatron's ``f`` op: identity forward, all-reduce in backward.
@@ -241,49 +166,31 @@ def tp_broadcast(x: Tensor, world: int, tracker: CommTracker, *, layer: int | No
     In tensor parallelism the layer input is replicated; each rank's
     backward produces a partial input-gradient that must be all-reduced.
     In-process the summation happens automatically because the same tensor
-    feeds every rank's shard — this op only *accounts* for the backward
-    collective.
+    feeds every rank's shard, so this op only *accounts* for the backward
+    collective.  Inside an mp worker each tp peer holds only its own shard
+    path's partial, so the backward exchanges the partials and sums them
+    in rank order — the same 2-term float sums as the oracle's autograd
+    accumulation, bitwise.
     """
     if world <= 1:
         return x
     shape = tuple(x.shape)
     ctx = rank_context()
-
-    if ctx is not None and ctx.tp > 1:
-        # SPMD: each tp peer computes a *partial* input-gradient from its
-        # own shard path; the backward all-reduce is a real exchange, and
-        # summation runs in rank order so the 2-term float sums match the
-        # oracle's autograd accumulation bitwise.
-        def backward(g):
-            wire = ctx.transport.exchange_issue(
-                ctx.tp_peers(), np.ascontiguousarray(g), timeout=ctx.timeout,
-                label=_async_label("bwd allreduce", site, layer),
-            )
-            gathered = wire.wait(ctx.timeout)
-            g_sum = _sum_rank_order(gathered, ctx.tp_peers())
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "backward", "none",
-                              dense_bytes(shape), world, shape, layer, site)
-                )
-            return (g_sum,)
-
-        return Tensor._make(x.data, (x,), backward)
+    spmd = ctx is not None and ctx.tp > 1
+    recording = ctx is None or ctx.records
+    event = CommEvent("all_reduce", "tp", "backward", "none", dense_bytes(shape),
+                      world, shape, layer, site)
 
     def backward(g):
-        tracker.record(
-            CommEvent(
-                op="all_reduce",
-                group="tp",
-                phase="backward",
-                scheme="none",
-                wire_bytes=dense_bytes(shape),
-                world=world,
-                shape=shape,
-                layer=layer,
-                site=site,
+        if spmd:
+            peers = ctx.tp_peers()
+            wire = ctx.transport.exchange_issue(
+                peers, np.ascontiguousarray(g), timeout=ctx.timeout,
+                label=_async_label("bwd allreduce", site, layer),
             )
-        )
+            g = _sum_rank_order(wire.wait(ctx.timeout), peers)
+        if recording:
+            tracker.record(event)
         return (g,)
 
     return Tensor._make(x.data, (x,), backward)
@@ -299,8 +206,13 @@ def tp_all_reduce(
 ) -> Tensor:
     """Megatron's ``g`` op with optional compression: sum per-rank partials.
 
-    Blocking form of :func:`tp_all_reduce_issue` — issue immediately
-    followed by wait.
+    ``partials`` holds the partials of the ranks this process materializes
+    (the :func:`~repro.parallel.backend.context.spmd_ranks` rule): every
+    rank in-process, only the own rank inside an mp worker.  Each rank's
+    message is built the same way on both backends; an mp worker then
+    exchanges its own message over the context's transport and wraps each
+    peer's as a constant, and the messages are combined in rank order by
+    the same code — so the result matches the oracle bitwise.
 
     - No compression → plain all-reduce of the dense fp16 activation.
     - AE → each rank encodes its partial, the all-reduce runs over the
@@ -312,40 +224,20 @@ def tp_all_reduce(
       ``gather-from-tensor-model-parallel-region`` fallback.
 
     Backward traffic is logged per scheme via ``Compressor.backward_bytes``.
-    """
-    return tp_all_reduce_issue(partials, compressor, tracker,
-                               layer=layer, site=site).wait()
-
-
-def tp_all_reduce_issue(
-    partials: list[Tensor],
-    compressor: Compressor,
-    tracker: CommTracker,
-    *,
-    layer: int | None = None,
-    site: str = "",
-) -> CommHandle:
-    """Issue the ``g`` all-reduce and return a :class:`CommHandle`.
-
-    Under SPMD the local contribution is staged on the wire before this
-    returns; rank-local codec work that does not need peer data (the AE
-    encode of the own partial) also runs at issue time, overlapping the
-    in-flight exchange.  Everything that consumes peer data — and the
-    site's event recording — happens inside :meth:`CommHandle.wait`.
-    In-process the handle is returned already complete.
+    Under SPMD only the stage's designated recorder (tp rank 0) logs
+    events, so the merged multiset matches the oracle event-for-event.
     """
     if not partials:
         raise ValueError("tp_all_reduce needs at least one partial")
     ctx = rank_context()
-    if ctx is not None and ctx.tp > 1:
-        if len(partials) != 1:
-            raise ValueError(
-                f"SPMD tp_all_reduce expects exactly the local partial, "
-                f"got {len(partials)}"
-            )
-        return _tp_all_reduce_spmd_issue(partials[0], compressor, tracker, ctx,
-                                         layer=layer, site=site)
-    world = len(partials)
+    spmd = ctx is not None and ctx.tp > 1
+    if spmd and len(partials) != 1:
+        raise ValueError(
+            f"SPMD tp_all_reduce expects exactly the local partial, "
+            f"got {len(partials)}"
+        )
+    world = ctx.tp if spmd else len(partials)
+    ranks = (ctx.tp_rank,) if spmd else range(world)
     shape = tuple(partials[0].shape)
     for p in partials[1:]:
         if tuple(p.shape) != shape:
@@ -354,247 +246,94 @@ def tp_all_reduce_issue(
     if world == 1:
         # No TP communication exists, so there is nothing to compress
         # (matches the paper's TP=1 rows, where only PP traffic is compressed).
-        return CommHandle.ready(partials[0])
+        return partials[0]
 
-    if _is_identity(compressor):
-        out = _sum_tensors(partials)
-        tracker.record(
-            CommEvent("all_reduce", "tp", "forward", "none", dense_bytes(shape),
-                      world, shape, layer, site)
-        )
-        return CommHandle.ready(_with_backward_event(
-            out, tracker,
-            CommEvent("all_reduce", "tp", "backward", "none", dense_bytes(shape),
-                      world, shape, layer, site),
-        ))
-
-    if isinstance(compressor, AutoencoderCompressor) or (
-        compressor.allreduce_compatible and compressor.learnable
-    ):
-        codes = [compressor.encode(p) for p in partials]
-        code_sum = _sum_tensors(codes)
-        code_bytes = int(np.prod(code_sum.shape)) * BYTES_FP16
-        tracker.record(
-            CommEvent("all_reduce", "tp", "forward", compressor.name, code_bytes,
-                      world, shape, layer, site)
-        )
-        out = compressor.decode(code_sum)
-        if tracker.probe is not None:
-            # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so the
-            # meaningful error is measured on the reduced activation.
-            dense = partials[0].data.copy()
-            for p in partials[1:]:
-                dense = dense + p.data
-            tracker.probe.observe(
-                site=_site_label(site, layer),
-                scheme=compressor.name, group="tp",
-                original=dense, reconstructed=out.data,
-                wire_bytes=code_bytes, dense_bytes=dense_bytes(shape),
-            )
-        return CommHandle.ready(_with_backward_event(
-            out, tracker,
-            CommEvent("all_reduce", "tp", "backward", compressor.name,
-                      compressor.backward_bytes(shape), world, shape, layer, site),
-        ))
-
-    # All-gather path: each rank broadcasts its compressed message; every
-    # rank reconstructs and sums locally.  Each rank's partial is its own
-    # compression site: a stateful wrapper (error feedback) must keep one
-    # residual per rank, not clobber a shared "default" slot per call.
-    reconstructed = []
-    for r, p in enumerate(partials):
-        rank_site = _rank_site(site, layer, r)
-        rec = compressor.apply(p, site=rank_site)
-        reconstructed.append(rec)
-        if tracker.probe is not None:
-            tracker.probe.observe(
-                site=rank_site, scheme=compressor.name, group="tp",
-                original=p.data, reconstructed=rec.data,
-                wire_bytes=compressor.compressed_bytes(shape),
-                dense_bytes=dense_bytes(shape),
-                residual=_residual_of(compressor, rank_site),
-            )
-    out = _sum_tensors(reconstructed)
-    msg_bytes = compressor.compressed_bytes(shape)
-    tracker.record(
-        CommEvent("all_gather", "tp", "forward", compressor.name, msg_bytes,
-                  world, shape, layer, site)
+    identity = _is_identity(compressor)
+    learnable = not identity and (
+        isinstance(compressor, AutoencoderCompressor)
+        or (compressor.allreduce_compatible and compressor.learnable)
     )
-    return CommHandle.ready(_with_backward_event(
-        out, tracker,
-        CommEvent("all_gather", "tp", "backward", compressor.name,
-                  compressor.backward_bytes(shape), world, shape, layer, site),
-    ))
+    op = "all_reduce" if identity or learnable else "all_gather"
+    scheme = "none" if identity else compressor.name
 
-
-def _tp_all_reduce_spmd_issue(
-    own: Tensor,
-    compressor: Compressor,
-    tracker: CommTracker,
-    ctx,
-    *,
-    layer: int | None = None,
-    site: str = "",
-) -> CommHandle:
-    """The ``g`` op inside one mp worker: a real exchange over shm.
-
-    Semantics mirror the three in-process paths exactly; only the *where*
-    changes.  Stateless codecs run rank-local before anything hits the
-    wire; learnable codecs replay the oracle's full graph over exchanged
-    raw partials (see inline comment).  Peer contributions are summed in
-    rank order 0..tp-1 (bitwise-commutative at tp<=2), and only the
-    stage's designated recorder (tp rank 0) logs events so the merged
-    multiset matches the oracle event-for-event.
-
-    The local contribution is staged on the wire at issue time
-    (:meth:`RankTransport.exchange_issue`); peer data is consumed — and
-    the events recorded — inside the returned handle's ``wait``.  With
-    ``ctx.overlap`` off the handle completes before this returns, giving
-    a strictly blocking reference path; the numbers are bitwise-identical
-    either way because the codec work moved across the split is
-    deterministic and rank-local.
-    """
-    world = ctx.tp
-    shape = tuple(own.shape)
-    peers = ctx.tp_peers()
-
-    if _is_identity(compressor):
-        wire = ctx.transport.exchange_issue(
-            peers, own.data, timeout=ctx.timeout,
-            label=_async_label("allreduce", site, layer))
-
-        def finish() -> Tensor:
-            gathered = wire.wait(ctx.timeout)
-            out_data = _sum_rank_order(gathered, peers)
-
-            def passthrough(g):
-                return (g,)
-
-            out = Tensor._make(out_data, (own,), passthrough)
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "forward", "none",
-                              dense_bytes(shape), world, shape, layer, site)
-                )
-            return _with_backward_event(
-                out, tracker,
-                CommEvent("all_reduce", "tp", "backward", "none",
-                          dense_bytes(shape), world, shape, layer, site),
-                enabled=ctx.records,
-            )
-
-        return _spmd_handle(ctx, finish)
-
-    if isinstance(compressor, AutoencoderCompressor) or (
-        compressor.allreduce_compatible and compressor.learnable
-    ):
-        # Learnable codec: every rank replays the oracle's *whole*
-        # encode-sum-decode graph over the exchanged raw partials (peer
+    if identity or learnable:
+        # The message is the *raw* partial.  With a learnable codec every
+        # rank replays the oracle's whole encode-sum-decode graph (peer
         # partials enter as constants).  Exchanging codes instead would
         # leave each worker with only its own encoder-gradient
         # contribution, and summing those per-rank *step totals* post hoc
         # reorders the float additions the moment gradients accumulate
-        # over microbatches (the oracle interleaves rank contributions per
-        # microbatch).  Replaying the full graph keeps codec gradients
-        # replicated and bitwise-identical to the oracle for any m; the
-        # logged wire bytes are still the code size — what a real fused
-        # encode/all-reduce/decode would move.
-        wire = ctx.transport.exchange_issue(
-            peers, own.data, timeout=ctx.timeout,
-            label=_async_label("allreduce", site, layer))
-        # The own-partial encode needs no peer data: run it at issue time,
-        # overlapping the in-flight exchange.  encode() is deterministic
-        # and stateless, so hoisting it across the wait cannot change bits.
-        own_code = compressor.encode(own)
-        me = ctx.rank
-
-        def finish() -> Tensor:
-            gathered = wire.wait(ctx.timeout)
-            codes = [
-                own_code if r == me else compressor.encode(Tensor(gathered[r]))
-                for r in peers
-            ]
-            code_sum = _sum_tensors(codes)
-            code_bytes = int(np.prod(code_sum.shape)) * BYTES_FP16
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "forward", compressor.name,
-                              code_bytes, world, shape, layer, site)
-                )
-            out = compressor.decode(code_sum)
+        # over microbatches.
+        # The logged wire bytes are still the code size — what a real
+        # fused encode/all-reduce/decode would move.
+        messages = list(partials)
+    else:
+        # All-gather path: each rank's partial is its own compression
+        # site, so a stateful wrapper (error feedback) keeps one residual
+        # per rank instead of clobbering a shared "default" slot per call.
+        messages = []
+        for r, p in zip(ranks, partials):
+            rank_site = _rank_site(site, layer, r)
+            rec = compressor.apply(p, site=rank_site)
+            messages.append(rec)
             if tracker.probe is not None:
-                # Same measurement as the oracle path: AE compresses the
-                # sum, so fidelity is judged on the reduced activation.
-                # Pure reads of already-exchanged data — bitwise-neutral.
                 tracker.probe.observe(
-                    site=_site_label(site, layer),
-                    scheme=compressor.name, group="tp",
-                    original=_sum_rank_order(gathered, peers),
-                    reconstructed=out.data,
-                    wire_bytes=code_bytes, dense_bytes=dense_bytes(shape),
+                    site=rank_site, scheme=scheme, group="tp",
+                    original=p.data, reconstructed=rec.data,
+                    wire_bytes=compressor.compressed_bytes(shape),
+                    dense_bytes=dense_bytes(shape),
+                    residual=_residual_of(compressor, rank_site),
                 )
-            return _with_backward_event(
-                out, tracker,
-                CommEvent("all_reduce", "tp", "backward", compressor.name,
-                          compressor.backward_bytes(shape), world, shape,
-                          layer, site),
-                enabled=ctx.records,
-            )
 
-        return _spmd_handle(ctx, finish)
-
-    # All-gather path: compress/reconstruct our own partial with the same
-    # per-rank site key the oracle uses, then exchange reconstructions.
-    rank_site = _rank_site(site, layer, ctx.tp_rank)
-    rec = compressor.apply(own, site=rank_site)
-    if tracker.probe is not None:
-        # Each worker observes exactly the per-rank site it owns — the
-        # slice of the oracle's per-rank observations local data covers.
-        tracker.probe.observe(
-            site=rank_site, scheme=compressor.name, group="tp",
-            original=own.data, reconstructed=rec.data,
-            wire_bytes=compressor.compressed_bytes(shape),
-            dense_bytes=dense_bytes(shape),
-            residual=_residual_of(compressor, rank_site),
-        )
-    wire = ctx.transport.exchange_issue(
-        peers, rec.data, timeout=ctx.timeout,
-        label=_async_label("allgather", site, layer))
-
-    def finish() -> Tensor:
+    codes: dict[int, Tensor] = {}
+    if spmd:
+        peers = ctx.tp_peers()
+        wire = ctx.transport.exchange_issue(
+            peers, messages[0].data, timeout=ctx.timeout,
+            label=_async_label(op.replace("_", ""), site, layer))
+        if learnable:
+            # The own-partial encode needs no peer data: run it while the
+            # exchange is in flight.  encode() is deterministic and
+            # stateless, so hoisting it across the wait cannot change bits.
+            codes[ctx.tp_rank] = compressor.encode(messages[0])
         gathered = wire.wait(ctx.timeout)
-        out_data = _sum_rank_order(gathered, peers)
+        messages = [messages[0] if r == ctx.tp_rank else Tensor(gathered[peer])
+                    for r, peer in enumerate(peers)]
 
-        def passthrough(g):
-            return (g,)
-
-        out = Tensor._make(out_data, (rec,), passthrough)
-        msg_bytes = compressor.compressed_bytes(shape)
-        if ctx.records:
-            tracker.record(
-                CommEvent("all_gather", "tp", "forward", compressor.name,
-                          msg_bytes, world, shape, layer, site)
+    recording = ctx is None or ctx.records
+    if learnable:
+        code_sum = _sum_tensors([codes[r] if r in codes else compressor.encode(m)
+                                 for r, m in enumerate(messages)])
+        fwd_bytes = int(np.prod(code_sum.shape)) * BYTES_FP16
+        if recording:
+            tracker.record(CommEvent(op, "tp", "forward", scheme, fwd_bytes,
+                                     world, shape, layer, site))
+        out = compressor.decode(code_sum)
+        if tracker.probe is not None:
+            # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so the
+            # meaningful error is measured on the reduced activation.
+            tracker.probe.observe(
+                site=_site_label(site, layer), scheme=scheme, group="tp",
+                original=_sum_tensors([m.data for m in messages]),
+                reconstructed=out.data,
+                wire_bytes=fwd_bytes, dense_bytes=dense_bytes(shape),
             )
-        return _with_backward_event(
-            out, tracker,
-            CommEvent("all_gather", "tp", "backward", compressor.name,
-                      compressor.backward_bytes(shape), world, shape, layer, site),
-            enabled=ctx.records,
-        )
-
-    return _spmd_handle(ctx, finish)
-
-
-def _spmd_handle(ctx, finish) -> CommHandle:
-    """Wrap ``finish`` honoring the context's overlap knob.
-
-    ``ctx.overlap`` off forces completion at issue time — the blocking
-    reference path the overlap stress test compares against.
-    """
-    handle = CommHandle(finish)
-    if not getattr(ctx, "overlap", True):
-        handle.wait()
-    return handle
+        bwd_bytes = compressor.backward_bytes(shape)
+    else:
+        out = _sum_tensors(messages)
+        if identity:
+            fwd_bytes = bwd_bytes = dense_bytes(shape)
+        else:
+            fwd_bytes = compressor.compressed_bytes(shape)
+            bwd_bytes = compressor.backward_bytes(shape)
+        if recording:
+            tracker.record(CommEvent(op, "tp", "forward", scheme, fwd_bytes,
+                                     world, shape, layer, site))
+    return _with_backward_event(
+        out, tracker,
+        CommEvent(op, "tp", "backward", scheme, bwd_bytes, world, shape, layer, site),
+        enabled=recording,
+    )
 
 
 def pipeline_transfer(
@@ -609,83 +348,32 @@ def pipeline_transfer(
 
     Applies the compressor's differentiable round-trip (the receiving stage
     sees the reconstruction) and logs the forward send plus the backward
-    gradient message.  Blocking form of :func:`pipeline_transfer_issue`.
-    """
-    return pipeline_transfer_issue(x, compressor, tracker, boundary=boundary,
-                                   layer=layer).wait()
-
-
-def pipeline_transfer_issue(
-    x: Tensor,
-    compressor: Compressor,
-    tracker: CommTracker,
-    *,
-    boundary: int,
-    layer: int | None = None,
-) -> CommHandle:
-    """Issue a boundary send and return a :class:`CommHandle`.
-
-    A pipeline send has no receive half on the sender, so the handle is
-    always returned complete: under SPMD the payload is staged in the
-    next stage's ring mailbox (blocking only when the receiver lags a
-    full ring behind) and stays in flight while this stage moves on to
-    its next schedule op — that window is recorded as an ``mp.async``
-    span on the worker timeline.
+    gradient message.  Inside an mp worker the codec runs rank-local, the
+    reconstruction ships to the next stage's same-tp-rank peer, and only
+    tp rank 0 logs the boundary's two events — the oracle records one
+    logical send per boundary, not one per tp replica.  The send is staged
+    in the peer's ring mailbox (blocking only when the receiver lags a
+    full ring behind) and stays in flight while this stage moves on; that
+    window is recorded as an ``mp.async`` span on the worker timeline.
+    The receiving worker turns the payload into a gradient leaf whose grad
+    is relayed back and enters this graph via ``Tensor.backward(grad)``.
     """
     shape = tuple(x.shape)
     scheme = "none" if _is_identity(compressor) else compressor.name
     fwd_bytes = compressor.compressed_bytes(shape)
     bwd_bytes = compressor.backward_bytes(shape)
+    boundary_site = f"boundary{boundary}"
     ctx = rank_context()
+    recording = ctx is None or ctx.records
 
-    if ctx is not None:
-        # SPMD sender side: the codec runs rank-local (reconstruction and
-        # its backward stay in this worker's graph), the reconstruction
-        # ships to the next stage's same-tp-rank peer, and only tp rank 0
-        # logs the boundary's two events — the oracle records one logical
-        # send per boundary, not one per tp replica.  The receiving worker
-        # turns the payload into a gradient leaf; its grad is relayed back
-        # and enters this graph via ``Tensor.backward(grad)``.
-        if ctx.records:
-            tracker.record(
-                CommEvent("send", "pp", "forward", scheme, fwd_bytes, 2, shape,
-                          layer, f"boundary{boundary}")
-            )
-        if _is_identity(compressor):
-            out = x
-        else:
-            boundary_site = f"boundary{boundary}"
-            out = compressor.apply(x, site=boundary_site)
-            if tracker.probe is not None:
-                tracker.probe.observe(
-                    site=boundary_site, scheme=scheme, group="pp",
-                    original=x.data, reconstructed=out.data,
-                    wire_bytes=fwd_bytes, dense_bytes=dense_bytes(shape),
-                    residual=_residual_of(compressor, boundary_site),
-                )
-        out = _with_backward_event(
-            out, tracker,
-            CommEvent("send", "pp", "backward", scheme, bwd_bytes, 2, shape,
-                      layer, f"boundary{boundary}"),
-            enabled=ctx.records,
+    if recording:
+        tracker.record(
+            CommEvent("send", "pp", "forward", scheme, fwd_bytes, 2, shape,
+                      layer, boundary_site)
         )
-        issued_at = time.monotonic()
-        ctx.transport.send(ctx.peer(ctx.stage + 1), out.data,
-                           timeout=ctx.timeout)
-        ctx.transport.record_span(
-            _async_label("pp send", f"boundary{boundary}", None),
-            issued_at, cat="mp.async",
-        )
-        return CommHandle.ready(out)
-
-    tracker.record(
-        CommEvent("send", "pp", "forward", scheme, fwd_bytes, 2, shape,
-                  layer, f"boundary{boundary}")
-    )
     if _is_identity(compressor):
         out = x
     else:
-        boundary_site = f"boundary{boundary}"
         out = compressor.apply(x, site=boundary_site)
         if tracker.probe is not None:
             tracker.probe.observe(
@@ -694,11 +382,21 @@ def pipeline_transfer_issue(
                 wire_bytes=fwd_bytes, dense_bytes=dense_bytes(shape),
                 residual=_residual_of(compressor, boundary_site),
             )
-    return CommHandle.ready(_with_backward_event(
+    out = _with_backward_event(
         out, tracker,
         CommEvent("send", "pp", "backward", scheme, bwd_bytes, 2, shape,
-                  layer, f"boundary{boundary}"),
-    ))
+                  layer, boundary_site),
+        enabled=recording,
+    )
+    if ctx is not None:
+        issued_at = time.monotonic()
+        ctx.transport.send(ctx.peer(ctx.stage + 1), out.data,
+                           timeout=ctx.timeout)
+        ctx.transport.record_span(
+            _async_label("pp send", boundary_site, None),
+            issued_at, cat="mp.async",
+        )
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ computation equals the serial reference exactly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from repro.compression.base import Compressor, NoCompressor
@@ -38,7 +40,18 @@ __all__ = [
     "ParallelAttention",
     "ParallelMLP",
     "ParallelTransformerLayer",
+    "shard_rank",
 ]
+
+#: Parameter-name suffix of a tp shard (``weight_rank{r}``,
+#: ``qkv_bias_rank{r}``, ...), the naming every layer below writes.
+_SHARD_SUFFIX = re.compile(r"_rank(\d+)$")
+
+
+def shard_rank(name: str) -> int | None:
+    """The tp rank owning parameter ``name``, or None for a replicated one."""
+    m = _SHARD_SUFFIX.search(name)
+    return int(m.group(1)) if m is not None else None
 
 
 def _shard_columns(weight: np.ndarray, tp: int) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ class TestHandleWaited:  # REPRO008
         (f,) = _lint(
             """
             def step(ctx, grad):
-                tp_all_reduce_issue(ctx, grad)
+                ctx.transport.exchange_issue(peers, grad)
                 return grad
             """, "REPRO008")
         assert "discarded" in f.message
@@ -28,7 +28,7 @@ class TestHandleWaited:  # REPRO008
         (f,) = _lint(
             """
             def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 return grad
             """, "REPRO008")
         assert "'h'" in f.message and "without waiting" in f.message
@@ -37,7 +37,7 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 out = compute(grad)
                 h.wait()
                 return out
@@ -47,7 +47,7 @@ class TestHandleWaited:  # REPRO008
         (f,) = _lint(
             """
             def step(ctx, grad, skip):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 if skip:
                     return grad
                 h.wait()
@@ -59,7 +59,7 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def step(ctx, grad, fast):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 if fast:
                     return h.wait()
                 h.wait()
@@ -70,7 +70,7 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def step(ctx, grad, ok):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 if not ok:
                     raise ValueError("bad step")
                 h.wait()
@@ -81,7 +81,7 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def issue(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 return h
             """, "REPRO008") == []
 
@@ -89,7 +89,7 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 track(h)
                 return grad
             """, "REPRO008") == []
@@ -111,10 +111,10 @@ class TestHandleWaited:  # REPRO008
         assert _lint(
             """
             def step(ctx, grad):
-                if ctx.overlap:
-                    h = tp_all_reduce_issue(ctx, grad)
+                if ctx.records:
+                    h = ctx.transport.exchange_issue(peers, grad)
                 else:
-                    h = tp_all_reduce_issue(ctx, grad)
+                    h = ctx.transport.exchange_issue(peers, grad)
                 h.wait()
                 return grad
             """, "REPRO008") == []
@@ -125,10 +125,10 @@ class TestHandleWaited:  # REPRO008
         # an unconditional wait or a targeted suppression instead.
         findings = _lint(
             """
-            def step(ctx, grad, overlap):
+            def step(ctx, grad, staged):
                 h = None
-                if overlap:
-                    h = tp_all_reduce_issue(ctx, grad)
+                if staged:
+                    h = ctx.transport.exchange_issue(peers, grad)
                 if h is not None:
                     h.wait()
                 return grad
@@ -140,14 +140,14 @@ class TestHandleWaited:  # REPRO008
             """
             def drain(ctx, grads):
                 for g in grads:
-                    h = tp_all_reduce_issue(ctx, g)
+                    h = ctx.transport.exchange_issue(peers, g)
                     h.wait()
             """, "REPRO008") == []
 
     def test_test_files_are_exempt(self):
         leaky = """
             def step(ctx, grad):
-                tp_all_reduce_issue(ctx, grad)
+                ctx.transport.exchange_issue(peers, grad)
             """
         assert _lint(leaky, "REPRO008", path="tests/test_leak.py") == []
         assert _lint(leaky, "REPRO008")  # same code elsewhere does trip
@@ -158,7 +158,7 @@ class TestNoBlockingInFlight:  # REPRO009
         (f,) = _lint(
             """
             def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 tp_broadcast(ctx, x)
                 h.wait()
             """, "REPRO009")
@@ -169,7 +169,7 @@ class TestNoBlockingInFlight:  # REPRO009
         assert _lint(
             """
             def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 y = matmul(x, x)
                 h.wait()
                 return y
@@ -179,7 +179,7 @@ class TestNoBlockingInFlight:  # REPRO009
         assert _lint(
             """
             def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
+                h = ctx.transport.exchange_issue(peers, grad)
                 h.wait()
                 tp_broadcast(ctx, x)
             """, "REPRO009") == []

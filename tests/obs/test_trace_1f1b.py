@@ -4,7 +4,7 @@ The simulated 1F1B timeline interleaves forward and backward compute, so
 :func:`validate_against_breakdown` re-derives the ``overlap_ms`` column
 as the intersection of the two compute windows; the pin stays at 1e-6 ms
 for every scheme × layout × microbatch count.  The mp worker-timeline
-exporter renders ``mp.async`` spans (CommHandle issue→wait windows,
+exporter renders ``mp.async`` spans (exchange issue→wait windows,
 staged ring sends) as Chrome async ``b``/``e`` pairs.
 """
 

@@ -1,70 +1,96 @@
-"""Handle lifecycle contracts: idempotent wait, sticky failure, shutdown.
+"""Exchange-handle lifecycle contracts: idempotent wait, sticky failure, shutdown.
 
-These are the regression tests for the CommHandle/ExchangeHandle wait
+These are the regression tests for the :class:`ExchangeHandle` wait
 semantics: a second ``wait`` returns the cached result without touching
-the wire, a failed completion stays failed with a typed error, and a
-handle orphaned by transport shutdown raises instead of dying on the
-torn-down channel map.
+the wire, a failed completion stays failed with a typed error (and is
+never retried into the peers' next messages), and a handle orphaned by
+transport shutdown raises instead of dying on the torn-down channel map.
+
+All ranks of a gang live in this one process: a send only stages the
+payload in the peer's ring, so issuing on every rank before any wait
+needs no threads.
 """
 
 import numpy as np
 import pytest
 
 from repro.parallel.backend import BackendError, RankTransport
-from repro.parallel.collectives import CommHandle
 
 
-class TestCommHandle:
-    def test_wait_completes_and_is_idempotent(self):
-        calls = []
-        sentinel = object()
+@pytest.fixture
+def gang():
+    """``gang(world)`` → one attached transport per rank, all closed after."""
+    opened = []
 
-        def finish():
-            calls.append(1)
-            return sentinel
+    def make(world):
+        creator = RankTransport.create(world=world)
+        opened.append(creator)
+        ranks = [RankTransport(creator.spec, r) for r in range(world)]
+        opened.extend(ranks)
+        return ranks
 
-        handle = CommHandle(finish)
+    yield make
+    for t in reversed(opened):
+        t.close()
+
+
+def full(value):
+    return np.full(2, value, dtype=np.float32)
+
+
+class TestExchangeHandle:
+    def test_wait_completes_and_is_idempotent(self, gang):
+        t0, t1 = gang(2)
+        handle = t0.exchange_issue([0, 1], full(0.0), timeout=1.0)
+        t1.exchange_issue([0, 1], full(1.0), timeout=1.0)
         assert not handle.done
-        assert handle.wait() is sentinel
+        out = handle.wait(timeout=1.0)
         assert handle.done
-        assert handle.wait() is sentinel  # cached, not re-received
-        assert len(calls) == 1
+        assert np.array_equal(out[1], full(1.0))
+        # A later message from the peer stays in the ring: the second
+        # wait returns the cached gather instead of receiving again.
+        t1.exchange_issue([0, 1], full(2.0), timeout=1.0)
+        assert handle.wait(timeout=1.0) is out
+        assert t0._channels[(1, 0)].occupancy() == 1
 
-    def test_ready_handle_is_born_complete(self):
-        sentinel = object()
-        handle = CommHandle.ready(sentinel)
-        assert handle.done
-        assert handle.wait() is sentinel
-        assert handle.wait() is sentinel
-
-    def test_failed_wait_stays_failed_with_typed_error(self):
-        def finish():
-            raise BackendError("peer 3 died mid-exchange", rank=3)
-
-        handle = CommHandle(finish)
-        with pytest.raises(BackendError, match="peer 3 died"):
-            handle.wait()
+    def test_failed_wait_stays_failed_with_typed_error(self, gang):
+        t0, _ = gang(2)
+        handle = t0.exchange_issue([0, 1], full(0.0), timeout=1.0,
+                                   label="silent peer")
+        with pytest.raises(BackendError, match="timed out"):
+            handle.wait(timeout=0.05)
         assert not handle.done
-        # Every later wait re-raises a *typed* error naming the original
-        # failure — never a silent None result for the collective.
+        # Every later wait raises a *typed* error naming the original
+        # failure, never a result assembled from a half-drained exchange.
         with pytest.raises(BackendError, match="already failed") as exc:
-            handle.wait()
-        assert "peer 3 died" in str(exc.value)
+            handle.wait(timeout=0.05)
+        assert "silent peer" in str(exc.value)
+        assert "timed out" in str(exc.value)
         assert isinstance(exc.value.__cause__, BackendError)
 
-    def test_failure_is_raised_once_per_wait_not_swallowed(self):
-        calls = []
-
-        def finish():
-            calls.append(1)
-            raise RuntimeError("boom")
-
-        handle = CommHandle(finish)
-        with pytest.raises(RuntimeError):
-            handle.wait()
+    def test_failure_is_never_retried(self, gang):
+        t0, t1 = gang(2)
+        handle = t0.exchange_issue([0, 1], full(0.0), timeout=1.0)
         with pytest.raises(BackendError):
-            handle.wait()
-        assert len(calls) == 1  # the broken finish is never retried
+            handle.wait(timeout=0.05)
+        t1.exchange_issue([0, 1], full(1.0), timeout=1.0)  # arrives late
+        with pytest.raises(BackendError, match="already failed"):
+            handle.wait(timeout=1.0)
+        assert t0._channels[(1, 0)].occupancy() == 1  # left unreceived
+
+    def test_retry_after_partial_drain_cannot_mix_exchanges(self, gang):
+        """Rank 0's first wait drains rank 1, then times out on rank 2.
+        A retry used to receive from every peer again and return rank 1's
+        *next* exchange inside this one: ``{0: 0, 1: 99, 2: 2}``."""
+        t0, t1, t2 = gang(3)
+        handle = t0.exchange_issue([0, 1, 2], full(0.0), timeout=1.0)
+        t1.exchange_issue([0, 1, 2], full(1.0), timeout=1.0)
+        with pytest.raises(BackendError, match="rank 2"):
+            handle.wait(timeout=0.05)
+        t1.exchange_issue([0, 1, 2], full(99.0), timeout=1.0)
+        t2.exchange_issue([0, 1, 2], full(2.0), timeout=1.0)
+        with pytest.raises(BackendError, match="already failed"):
+            handle.wait(timeout=1.0)
 
 
 class TestExchangeHandleShutdown:

@@ -21,6 +21,7 @@ from repro.parallel import (
     ParallelTransformerLayer,
     RowParallelLinear,
 )
+from repro.parallel.tensor_parallel import shard_rank
 from repro.tensor import Tensor
 from repro.tensor.tensor import concatenate
 
@@ -182,3 +183,30 @@ class TestFullModelEquivalence:
             ModelParallelConfig(cfg, tp=3)  # heads=4 not divisible
         with pytest.raises(ValueError):
             ModelParallelConfig(cfg, pp=5)  # more stages than layers
+
+
+class TestShardRank:
+    def test_names_every_parameter_of_a_tp2_model(self):
+        """``shard_rank`` reads back exactly the shards the layers wrote:
+        each tp shard's owning rank, and None for every replicated
+        parameter (embeddings, norms, heads, row-parallel biases, codecs)."""
+        cfg = small_config(num_classes=3, seed=0)
+        model = ModelParallelBertClassifier(
+            ModelParallelConfig(cfg, tp=2, pp=2, scheme="A2", seed=0))
+        owner = {}
+        for module in model.modules():
+            if isinstance(module, (ColumnParallelLinear, RowParallelLinear)):
+                shards = [module.weight_shards]
+                if isinstance(module, ColumnParallelLinear):
+                    shards.append(module.bias_shards)
+            elif isinstance(module, ParallelAttention):
+                shards = [module._qkv_weights, module._qkv_biases]
+            else:
+                continue
+            for per_rank in shards:
+                for r, p in enumerate(per_rank):
+                    owner[id(p)] = r
+        names = dict(model.named_parameters())
+        assert {shard_rank(n) for n in names} == {None, 0, 1}
+        for name, p in names.items():
+            assert shard_rank(name) == owner.get(id(p)), name
