@@ -52,10 +52,6 @@ class TestBitwiseEquivalence:
         (1, 2, "Q2"),   # pure PP, quantized boundary
         (2, 2, "R2"),   # random-k: exercises the per-site RNG streams
         (2, 2, "w/o"),  # dense all-gather + raw boundary transfer
-        (2, 1, "w/o"),  # pure TP, dense all-reduce
-        (2, 1, "R2"),   # pure TP, per-rank random-k sites
-        (2, 1, "Q2"),   # pure TP, quantized all-gather
-        (2, 1, "A2"),   # pure TP, AE encode overlapping the exchange
     ])
     def test_single_step_matches_oracle_bitwise(self, tp, pp, scheme):
         ids, labels, mask = make_batch()

@@ -1,10 +1,12 @@
-"""Async issue/wait overlap vs the blocking reference path, full matrix.
+"""Comm/compute overlap vs the serial inproc oracle, full matrix.
 
-``MpBackend(overlap=False)`` forces every :class:`CommHandle` to complete
-at issue time — the pre-overlap blocking semantics.  The contract
-(DESIGN.md decision 9): enabling overlap moves *when* transfers complete,
-never *what* they compute — losses, every gradient array and the
-comm-event multiset must stay bitwise-identical across the whole
+The mp gang overlaps communication with compute in two places: the
+transport's staged ring sends (1F1B keeps boundary sends in flight) and the
+own-partial AE encode that runs while a TP exchange is in flight.  The
+inproc oracle runs every collective serially in one process.  The contract
+(DESIGN.md decision 9): overlap moves *when* transfers complete, never
+*what* they compute — losses, every gradient array and the comm-event
+multiset must stay bitwise-identical to the oracle across the whole
 TP×PP × scheme matrix, including the stateful compressors (Random-K RNG
 streams, error-feedback residuals) whose site order must not be perturbed
 by in-flight transfers.
@@ -25,31 +27,20 @@ LAYOUTS = ((2, 1), (1, 2), (2, 2))
 SCHEMES = ("w/o", "T2", "R2", "Q2", "A2")
 
 
-def make_model(scheme, tp, pp, m):
+def make_model(scheme, tp, pp, m, schedule):
     mc = TransformerConfig(vocab_size=64, hidden=32, num_layers=4, num_heads=4,
                            max_seq_len=16, dropout=0.0, num_classes=3)
-    # Pipelined layouts run 1F1B with real microbatching so the stress
-    # covers in-flight boundary sends, not just TP collectives.
     cfg = ModelParallelConfig(model=mc, tp=tp, pp=pp, scheme=scheme, seed=0,
-                              backend="mp",
-                              pipeline_schedule="1f1b" if pp > 1 else "gpipe",
-                              num_microbatches=m)
+                              pipeline_schedule=schedule, num_microbatches=m)
     return ModelParallelBertClassifier(cfg)
 
 
-def run_step(scheme, tp, pp, *, overlap):
-    m = 2 if pp > 1 else 1
-    model = make_model(scheme, tp, pp, m)
+def make_batch():
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 64, size=(4, 12))
     labels = rng.integers(0, 3, size=(4,))
     mask = np.ones((4, 12), dtype=np.int64)
-    backend = create_backend("mp", model, timeout=MP_TIMEOUT, overlap=overlap)
-    try:
-        result = backend.train_step(ids, labels, mask)
-    finally:
-        backend.close()
-    return result
+    return ids, labels, mask
 
 
 def event_key(e):
@@ -60,12 +51,25 @@ def event_key(e):
 @pytest.mark.parametrize("tp,pp", LAYOUTS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_overlap_is_bitwise_invisible(scheme, tp, pp):
-    blocking = run_step(scheme, tp, pp, overlap=False)
-    overlapped = run_step(scheme, tp, pp, overlap=True)
+    # Pipelined layouts run 1F1B with real microbatching so the stress
+    # covers in-flight boundary sends, not just TP collectives.
+    m = 2 if pp > 1 else 1
+    ids, labels, mask = make_batch()
+    oracle_model = make_model(scheme, tp, pp, m, "gpipe")
+    mp_model = make_model(scheme, tp, pp, m, "1f1b" if pp > 1 else "gpipe")
 
-    assert overlapped.loss == blocking.loss  # bitwise, not allclose
-    assert set(overlapped.grads) == set(blocking.grads)
-    for name in sorted(blocking.grads):
-        assert np.array_equal(overlapped.grads[name], blocking.grads[name]), name
+    serial = create_backend("inproc", oracle_model).train_step(ids, labels, mask)
+    backend = create_backend("mp", mp_model, timeout=MP_TIMEOUT)
+    try:
+        overlapped = backend.train_step(ids, labels, mask)
+    finally:
+        backend.close()
+
+    assert overlapped.loss == serial.loss  # bitwise, not allclose
+    ref_grads = {n: p.grad for n, p in oracle_model.named_parameters()
+                 if p.grad is not None}
+    assert set(overlapped.grads) == set(ref_grads)
+    for name in sorted(ref_grads):
+        assert np.array_equal(overlapped.grads[name], ref_grads[name]), name
     assert Counter(map(event_key, overlapped.events)) == \
-        Counter(map(event_key, blocking.events))
+        Counter(map(event_key, serial.events))

@@ -123,13 +123,6 @@ class Test1F1BEquivalence:
         (2, 2, "A2"),   # learnable codec: grads replayed over raw partials
         (1, 2, "Q2"),   # pure PP, quantized boundary
         (2, 2, "R2"),   # per-site RNG streams must advance in mb order
-        (2, 2, "w/o"),  # dense TP all-reduce + raw in-flight boundary sends
-        (2, 2, "T2"),   # top-k on both cut points
-        (2, 2, "Q2"),   # quantized TP all-gather under 1F1B
-        (1, 2, "w/o"),  # pure PP, raw boundary
-        (1, 2, "T2"),   # pure PP, top-k boundary
-        (1, 2, "R2"),   # pure PP, random-k boundary stream
-        (1, 2, "A2"),   # pure PP, AE scheme
     ])
     def test_1f1b_step_matches_oracle_bitwise(self, tp, pp, scheme):
         m = 2
