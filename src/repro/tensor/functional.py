@@ -57,9 +57,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in BERT/Megatron)."""
+    """Gaussian error linear unit (tanh approximation, as in BERT/Megatron).
+
+    The cube is written as products, not ``x_data**3``: NumPy has fast paths
+    only for the exponents -1, 0, 0.5, 1 and 2, and sends any other power to
+    the C ``pow`` once per element, about 100 times the cost of the products
+    (10 ms against 0.08 ms for 131k float32 elements) and more than any GEMM
+    of the MLP block.  The products round differently from ``pow`` in the
+    last bit of some elements.  The backward's ``x_data**2`` and ``t**2`` are
+    NumPy's ``square`` and need no rewrite.
+    """
     x_data = x.data
-    inner = _SQRT_2_OVER_PI * (x_data + 0.044715 * x_data**3)
+    inner = _SQRT_2_OVER_PI * (x_data + 0.044715 * (x_data * x_data * x_data))
     t = np.tanh(inner)
     out_data = 0.5 * x_data * (1.0 + t)
 
